@@ -114,6 +114,7 @@ pub fn run(spec: &RunSpec, cfg: &EngineConfig, hooks: &mut dyn ExecutionHooks) -
 /// Like [`run`], but starting from a mid-execution checkpoint. The
 /// budget in `spec` is *absolute*: each processor runs until its total
 /// retired count (including pre-checkpoint instructions) reaches it.
+/// The engine takes `start`'s memory image as its own, uncopied.
 ///
 /// # Panics
 ///
@@ -123,7 +124,7 @@ pub fn run_from(
     spec: &RunSpec,
     cfg: &EngineConfig,
     hooks: &mut dyn ExecutionHooks,
-    start: &StartState,
+    start: StartState,
 ) -> RunStats {
     assert_eq!(
         start.vm_states.len(),
@@ -186,7 +187,7 @@ impl<'h> Engine<'h> {
         spec: &RunSpec,
         cfg: &EngineConfig,
         hooks: &'h mut dyn ExecutionHooks,
-        start: Option<&StartState>,
+        mut start: Option<StartState>,
     ) -> Self {
         let mut cfg = cfg.clone();
         cfg.machine.n_procs = spec.n_procs;
@@ -208,14 +209,14 @@ impl<'h> Engine<'h> {
             }
         }
         let map = AddressMap::new(spec.n_procs);
-        let memory = match start {
+        let memory = match start.as_mut() {
             Some(st) => {
                 assert_eq!(
                     st.memory.len() as u64,
                     map.total_words(),
                     "memory image mismatch"
                 );
-                Memory::from_image(st.memory.clone())
+                Memory::from_image(std::mem::take(&mut st.memory))
             }
             None => Memory::new(map.total_words()),
         };
@@ -227,10 +228,10 @@ impl<'h> Engine<'h> {
             .map(|(t, program)| {
                 let mut vm = Vm::new(t as u32, &map);
                 vm.set_pc(program.entry());
-                if let Some(st) = start {
+                if let Some(st) = &start {
                     vm.restore(&st.vm_states[t]);
                 }
-                let done = start.map_or(0, |st| st.chunks_done[t]);
+                let done = start.as_ref().map_or(0, |st| st.chunks_done[t]);
                 CoreState {
                     vm,
                     program,

@@ -14,11 +14,13 @@
 use crate::inspect::ReplayInspector;
 use crate::mode::Mode;
 use crate::session::HookStage;
-use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, StreamMeta};
+use crate::stream::{decode_procs, encode_procs, FileSource, LogSource, StreamMeta};
 use crate::wire::{fnv_hasher, mode_from, mode_tag, Reader, Writer};
 use delorean_chunk::{StartState, SubstrateEvent};
 use delorean_isa::layout::AddressMap;
+use delorean_isa::vm::VmState;
 use delorean_isa::workload::WorkloadSpec;
+use delorean_isa::Word;
 use delorean_mem::Memory;
 use std::io::{Read, Seek, SeekFrom};
 
@@ -131,8 +133,8 @@ impl IntervalCheckpoint {
 
 /// Sidecar index magic: "DLRX".
 pub(crate) const MAGIC_X: u32 = 0x444c_5258;
-/// Sidecar index format version.
-pub(crate) const VERSION_X: u16 = 1;
+/// Sidecar index format version (v2: entries store memory deltas).
+pub(crate) const VERSION_X: u16 = 2;
 
 /// Full replay state at a chunk-commit boundary: the architectural
 /// [`StartState`] plus the replay-control state (PicoLog round-robin
@@ -147,9 +149,155 @@ pub struct Snapshot {
     pub state: StartState,
 }
 
-/// One checkpoint in a [`CheckpointIndex`]: a [`Snapshot`] plus the
-/// stream coordinates needed to seek a [`FileSource`] to the segment
-/// containing the first commit after it.
+/// The memory words one checkpoint changed since the previous one, as
+/// maximal runs of consecutive changed words.
+///
+/// Runs are kept sorted, non-empty, inside the image they were taken
+/// from, and separated by at least one unchanged word; the only ways to
+/// build a delta (diffing two images during indexing, and the `.dlrnx`
+/// decoder) uphold that, so applying one never needs more than a
+/// bounds check.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoryDelta {
+    /// `(first word, word count)` of every run, ascending.
+    runs: Vec<(u64, u64)>,
+    /// The runs' new values, concatenated in run order.
+    words: Vec<Word>,
+}
+
+impl MemoryDelta {
+    /// The words of `next` that differ from `prev` (over their common
+    /// length).
+    pub(crate) fn between(prev: &[Word], next: &[Word]) -> Self {
+        // Unchanged stretches are skipped a block at a time: most of an
+        // image does not change between checkpoints.
+        const BLOCK: usize = 64;
+        let n = prev.len().min(next.len());
+        let mut d = Self::default();
+        let mut i = 0;
+        while i < n {
+            if i + BLOCK <= n && prev[i..i + BLOCK] == next[i..i + BLOCK] {
+                i += BLOCK;
+                continue;
+            }
+            if prev[i] == next[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < n && prev[i] != next[i] {
+                i += 1;
+            }
+            d.runs.push((start as u64, (i - start) as u64));
+            d.words.extend_from_slice(&next[start..i]);
+        }
+        d
+    }
+
+    /// Writes the changed words into `image`. Returns `false`, leaving
+    /// `image` partly updated, if a run falls outside it.
+    pub(crate) fn apply(&self, image: &mut [Word]) -> bool {
+        let mut words = &self.words[..];
+        for &(start, len) in &self.runs {
+            let Some((run, rest)) = words.split_at_checked(len as usize) else {
+                return false;
+            };
+            let Some(dst) = image.get_mut(start as usize..(start + len) as usize) else {
+                return false;
+            };
+            dst.copy_from_slice(run);
+            words = rest;
+        }
+        true
+    }
+
+    /// Number of changed words.
+    pub fn changed_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Wire form: the run count, then per run its gap from the end of
+    /// the previous run (from word 0 for the first), its length, and its
+    /// words; counts are LEB128 varints, words little-endian `u64`s.
+    fn encode(&self, w: &mut Writer) {
+        w.varint(self.runs.len() as u64);
+        let mut end = 0;
+        let mut words = self.words.iter();
+        for &(start, len) in &self.runs {
+            w.varint(start - end);
+            w.varint(len);
+            for &word in words.by_ref().take(len as usize) {
+                w.u64(word);
+            }
+            end = start + len;
+        }
+    }
+
+    /// Inverse of [`encode`](Self::encode) for an image of `mem_words`
+    /// words. A zero-length run, a run that touches or would start
+    /// before the end of the previous one, or a run past the end of
+    /// memory is [`CheckpointError::Malformed`].
+    fn decode(r: &mut Reader<'_>, mem_words: u64) -> Result<Self, CheckpointError> {
+        let trunc = |_| CheckpointError::Truncated("entry memory delta");
+        let malformed = |i: u64, what: &str| {
+            CheckpointError::Malformed(format!("memory delta run {i}: {what}"))
+        };
+        let n = r.varint("delta run count").map_err(trunc)?;
+        // A run is at least a gap byte, a length byte and one word.
+        let mut runs = Vec::with_capacity((n as usize).min(r.remaining() / 10));
+        let mut words = Vec::with_capacity(r.remaining() / 8);
+        let mut end = 0u64;
+        for i in 0..n {
+            let gap = r.varint("delta run gap").map_err(trunc)?;
+            let len = r.varint("delta run length").map_err(trunc)?;
+            if len == 0 {
+                return Err(malformed(i, "zero-length run"));
+            }
+            if i > 0 && gap == 0 {
+                return Err(malformed(i, "touches the previous run"));
+            }
+            let start = end
+                .checked_add(gap)
+                .filter(|&s| s < mem_words)
+                .ok_or_else(|| malformed(i, "starts past the end of memory"))?;
+            end = start
+                .checked_add(len)
+                .filter(|&e| e <= mem_words)
+                .ok_or_else(|| malformed(i, "runs past the end of memory"))?;
+            for _ in 0..len {
+                words.push(r.u64("delta word").map_err(trunc)?);
+            }
+            runs.push((start, len));
+        }
+        Ok(Self { runs, words })
+    }
+}
+
+/// Everything of an entry's wire body before its memory delta.
+fn encode_entry_head(w: &mut Writer, e: &CheckpointEntry) {
+    w.u64(e.gcc);
+    w.u32(e.rr_cursor);
+    w.u64(e.seg_byte_offset);
+    w.u64(e.seg_start_gcc);
+    for &c in &e.seg_start_chunks {
+        w.u64(c);
+    }
+    encode_procs(w, &e.vm_states, &e.chunks_done);
+}
+
+/// Words in the memory image of an `n_procs`-processor machine, or
+/// [`CheckpointError::Malformed`] for a processor count no machine has
+/// — which also keeps a forged count from sizing an allocation.
+fn image_words(n_procs: u32) -> Result<u64, CheckpointError> {
+    delorean_sim::validate_procs(n_procs)
+        .map_err(|e| CheckpointError::Malformed(format!("processor count: {e}")))?;
+    Ok(AddressMap::new(n_procs).total_words())
+}
+
+/// One checkpoint in a [`CheckpointIndex`]: the per-processor state and
+/// the memory words changed since the previous entry, plus the stream
+/// coordinates needed to seek a [`FileSource`] to the segment containing
+/// the first commit after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEntry {
     /// Global commit count of the checkpoint (commits done).
@@ -162,8 +310,14 @@ pub struct CheckpointEntry {
     pub seg_start_gcc: u64,
     /// Per-processor chunk counters at the start of that segment.
     pub seg_start_chunks: Vec<u64>,
-    /// Architectural state at the checkpoint.
-    pub state: StartState,
+    /// Per-processor architected state at the checkpoint.
+    pub vm_states: Vec<VmState>,
+    /// Per-processor chunks committed before the checkpoint.
+    pub chunks_done: Vec<u64>,
+    /// Memory words changed since the previous entry (since an all-zero
+    /// image for the first). [`CheckpointIndex::start_state`] rebuilds
+    /// the full image.
+    pub memory: MemoryDelta,
 }
 
 /// Why a `.dlrnx` checkpoint index failed to load or validate.
@@ -239,6 +393,35 @@ impl CheckpointIndex {
         self.entries.iter().rev().find(|e| e.gcc <= gcc)
     }
 
+    /// The full architectural state at entry `i`: its memory image is
+    /// built by applying the deltas of entries `0..=i` to a zeroed
+    /// image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Malformed`] when `i` is out of range
+    /// or the entries do not fit this index's machine shape.
+    pub fn start_state(&self, i: usize) -> Result<StartState, CheckpointError> {
+        let entry = self
+            .entries
+            .get(i)
+            .ok_or_else(|| CheckpointError::Malformed(format!("no checkpoint entry {i}")))?;
+        let mut memory = vec![0; image_words(self.n_procs)? as usize];
+        for e in &self.entries[..=i] {
+            if !e.memory.apply(&mut memory) {
+                return Err(CheckpointError::Malformed(format!(
+                    "memory delta of the entry at commit {} exceeds the image",
+                    e.gcc
+                )));
+            }
+        }
+        Ok(StartState {
+            memory,
+            vm_states: entry.vm_states.clone(),
+            chunks_done: entry.chunks_done.clone(),
+        })
+    }
+
     /// Validates this index against the bytes of a candidate source
     /// recording.
     ///
@@ -268,6 +451,23 @@ impl CheckpointIndex {
     /// Serializes the index into the framed, checksummed `.dlrnx`
     /// format.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let bodies: Vec<Vec<u8>> = self
+            .entries
+            .iter()
+            .map(|e| {
+                let mut w = Writer::new();
+                encode_entry_head(&mut w, e);
+                e.memory.encode(&mut w);
+                w.buf
+            })
+            .collect();
+        self.seal(&bodies)
+    }
+
+    /// Frames encoded entry bodies behind this index's header fields:
+    /// each body behind its own FNV and length, the whole body behind
+    /// the file checksum.
+    fn seal(&self, entry_bodies: &[Vec<u8>]) -> Vec<u8> {
         let mut body = Writer::new();
         body.u64(self.source_len);
         body.u64(self.source_fnv);
@@ -275,21 +475,12 @@ impl CheckpointIndex {
         body.u32(self.n_procs);
         body.u64(self.interval_k);
         body.u64(self.total_commits);
-        body.u64(self.entries.len() as u64);
-        for e in &self.entries {
-            let mut ew = Writer::new();
-            ew.u64(e.gcc);
-            ew.u32(e.rr_cursor);
-            ew.u64(e.seg_byte_offset);
-            ew.u64(e.seg_start_gcc);
-            for &c in &e.seg_start_chunks {
-                ew.u64(c);
-            }
-            encode_start_state(&mut ew, &e.state);
+        body.u64(entry_bodies.len() as u64);
+        for eb in entry_bodies {
             let mut ef = fnv_hasher();
-            ef.update(&ew.buf);
+            ef.update(eb);
             body.u64(ef.value());
-            body.bytes(&ew.buf);
+            body.bytes(eb);
         }
         let mut out = Writer::new();
         out.u32(MAGIC_X);
@@ -302,7 +493,8 @@ impl CheckpointIndex {
         out.buf
     }
 
-    /// Parses and integrity-checks a `.dlrnx` index.
+    /// Parses and integrity-checks a `.dlrnx` index. Entries stay in
+    /// delta form; [`start_state`](Self::start_state) builds an image.
     ///
     /// # Errors
     ///
@@ -347,6 +539,7 @@ impl CheckpointIndex {
         let mode = mode_from(b.u8("mode").map_err(trunc)?)
             .map_err(|_| CheckpointError::Malformed("unknown mode tag".to_string()))?;
         let n_procs = b.u32("processor count").map_err(trunc)?;
+        let mem_words = image_words(n_procs)?;
         let interval_k = b.u64("checkpoint interval").map_err(trunc)?;
         let total_commits = b.u64("total commits").map_err(trunc)?;
         let n_entries = b.u64("entry count").map_err(trunc)?;
@@ -366,12 +559,14 @@ impl CheckpointIndex {
             let rr_cursor = er.u32("entry phase").map_err(trunc)?;
             let seg_byte_offset = er.u64("entry segment offset").map_err(trunc)?;
             let seg_start_gcc = er.u64("entry segment commit").map_err(trunc)?;
-            let mut seg_start_chunks = Vec::with_capacity(n_procs as usize);
+            let mut seg_start_chunks =
+                Vec::with_capacity((n_procs as usize).min(er.remaining() / 8));
             for _ in 0..n_procs {
                 seg_start_chunks.push(er.u64("entry segment chunks").map_err(trunc)?);
             }
-            let state = decode_start_state(&mut er, n_procs)
+            let (vm_states, chunks_done) = decode_procs(&mut er, n_procs)
                 .map_err(|e| CheckpointError::Malformed(format!("entry state: {e}")))?;
+            let memory = MemoryDelta::decode(&mut er, mem_words)?;
             if !er.done() {
                 return Err(CheckpointError::Malformed(
                     "trailing bytes after entry state".to_string(),
@@ -383,7 +578,9 @@ impl CheckpointIndex {
                 seg_byte_offset,
                 seg_start_gcc,
                 seg_start_chunks,
-                state,
+                vm_states,
+                chunks_done,
+                memory,
             });
         }
         if !b.done() {
@@ -412,6 +609,10 @@ impl CheckpointIndex {
 /// running one software indexing replay, snapshotting at commit 0 and
 /// at every multiple of `interval_k`.
 ///
+/// Each snapshot is diffed against the previous one as the replay
+/// goes, so only one full image (the last snapshot's) is ever held
+/// beside the replay's own memory.
+///
 /// # Errors
 ///
 /// Returns [`CheckpointError::Malformed`] when the stream itself is
@@ -425,24 +626,24 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
     }
     let mut src = FileSource::open(bytes).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
     let (mode, n_procs) = (src.mode(), src.n_procs());
-    let mut snaps = Vec::new();
+    let mut entries = Vec::new();
     {
         let mut ins = ReplayInspector::from_source(&mut src)
             .map_err(|e| CheckpointError::Malformed(e.detail))?;
-        snaps.push(Snapshot {
-            gcc: 0,
-            rr_cursor: ins.rr_phase(),
-            state: ins.capture(),
-        });
+        let mut prev = vec![0; image_words(n_procs)? as usize];
+        if ins.memory_words().len() != prev.len() {
+            return Err(CheckpointError::Malformed(format!(
+                "start image is {} words, a {n_procs}-processor machine has {}",
+                ins.memory_words().len(),
+                prev.len()
+            )));
+        }
+        entries.push(capture_entry(&ins, 0, &mut prev));
         loop {
             match ins.step() {
                 Ok(Some(ev)) => {
                     if ev.gcc % interval_k == 0 {
-                        snaps.push(Snapshot {
-                            gcc: ev.gcc,
-                            rr_cursor: ins.rr_phase(),
-                            state: ins.capture(),
-                        });
+                        entries.push(capture_entry(&ins, ev.gcc, &mut prev));
                     }
                 }
                 Ok(None) => break,
@@ -452,19 +653,23 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
     }
     let trailer = src.finish().map_err(CheckpointError::Malformed)?;
     let marks = src.segment_marks();
-    let mut entries = Vec::new();
-    for snap in snaps {
-        let Some(mark) = marks.iter().rev().find(|m| m.start_gcc <= snap.gcc) else {
-            continue;
-        };
-        entries.push(CheckpointEntry {
-            gcc: snap.gcc,
-            rr_cursor: snap.rr_cursor,
-            seg_byte_offset: mark.byte_offset,
-            seg_start_gcc: mark.start_gcc,
-            seg_start_chunks: mark.start_chunks.clone(),
-            state: snap.state,
-        });
+    if marks.is_empty() {
+        // An event-free stream has no segment to seek to: an empty
+        // index, whose cursor rewinds to the log head.
+        entries.clear();
+    }
+    for e in &mut entries {
+        // The first segment starts at commit 0, so every entry has one.
+        let mark = marks
+            .iter()
+            .rev()
+            .find(|m| m.start_gcc <= e.gcc)
+            .ok_or_else(|| {
+                CheckpointError::Malformed(format!("no segment holds commit {}", e.gcc))
+            })?;
+        e.seg_byte_offset = mark.byte_offset;
+        e.seg_start_gcc = mark.start_gcc;
+        e.seg_start_chunks = mark.start_chunks.clone();
     }
     let mut f = fnv_hasher();
     f.update(bytes);
@@ -477,6 +682,30 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
         total_commits: trailer.stats.total_commits,
         entries,
     })
+}
+
+/// The entry for the inspector's current point, its memory diffed
+/// against `prev` (the previous entry's image), which then advances to
+/// the current image. Segment coordinates are filled in once the walk
+/// has visited every segment.
+fn capture_entry<S: LogSource>(
+    ins: &ReplayInspector<S>,
+    gcc: u64,
+    prev: &mut [Word],
+) -> CheckpointEntry {
+    let memory = MemoryDelta::between(prev, ins.memory_words());
+    // Diffed against `prev` itself, so every run fits.
+    memory.apply(prev);
+    CheckpointEntry {
+        gcc,
+        rr_cursor: ins.rr_phase(),
+        seg_byte_offset: 0,
+        seg_start_gcc: 0,
+        seg_start_chunks: Vec::new(),
+        vm_states: ins.vm_states(),
+        chunks_done: ins.chunks_done().to_vec(),
+        memory,
+    }
 }
 
 /// A [`HookStage`] that plans periodic checkpoints during a record (or
@@ -628,10 +857,12 @@ impl<R: Read + Seek> ReplayCursor<R> {
     /// cursor rewinds to the start of the log — the log head is by
     /// definition a checkpoint at commit 0.
     pub fn source_at(&mut self, gcc: u64) -> Result<(&mut FileSource<R>, u64), CheckpointError> {
-        let start = match self.index.entries.iter().rev().find(|e| e.gcc <= gcc) {
-            Some(entry) => {
+        let start = match self.index.entries.iter().rposition(|e| e.gcc <= gcc) {
+            Some(i) => {
+                let state = self.index.start_state(i)?;
+                let entry = &self.index.entries[i];
                 self.source
-                    .seek_to_checkpoint(entry)
+                    .seek_to_checkpoint(entry, state)
                     .map_err(|e| CheckpointError::Io(e.to_string()))?;
                 entry.gcc
             }
@@ -690,19 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trips_through_dlrnx_bytes() {
-        let m = machine(Mode::OrderOnly, 4);
-        let bytes = stream_bytes(&m, "lu");
-        let index = index_stream(&bytes, 64).unwrap();
-        assert!(!index.entries.is_empty());
-        assert_eq!(index.entries[0].gcc, 0, "commit 0 is always indexed");
-        let encoded = index.to_bytes();
-        let decoded = CheckpointIndex::from_bytes(&encoded).unwrap();
-        assert_eq!(decoded, index);
-        index.validate_against(&bytes).unwrap();
-    }
-
-    #[test]
     fn tampered_index_is_a_typed_error_never_a_fallback() {
         let m = machine(Mode::OrderOnly, 2);
         let bytes = stream_bytes(&m, "fft");
@@ -734,6 +952,258 @@ mod tests {
             ReplayCursor::open(Cursor::new(other), index),
             Err(CheckpointError::SourceMismatch(_))
         ));
+    }
+
+    /// The `.dlrnx` header before the entries: magic, version, file
+    /// checksum, body length, then the body's fixed fields.
+    const HEAD: usize = 4 + 2 + 8 + 8 + (8 + 8 + 1 + 4 + 8 + 8 + 8);
+
+    /// `(offset, length)` of every entry body in an encoded index.
+    fn entry_spans(encoded: &[u8]) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut pos = HEAD;
+        while pos < encoded.len() {
+            let len = u64::from_le_bytes(encoded[pos + 8..pos + 16].try_into().unwrap()) as usize;
+            spans.push((pos + 16, len));
+            pos += 16 + len;
+        }
+        spans
+    }
+
+    /// Recomputes every entry FNV and the file checksum after the
+    /// entry bodies were edited in place.
+    fn reseal(encoded: &mut [u8]) {
+        for (off, len) in entry_spans(encoded) {
+            let mut f = fnv_hasher();
+            f.update(&encoded[off..off + len]);
+            encoded[off - 16..off - 8].copy_from_slice(&f.value().to_le_bytes());
+        }
+        let mut f = fnv_hasher();
+        f.update(&encoded[14..22]);
+        f.update(&encoded[22..]);
+        encoded[6..14].copy_from_slice(&f.value().to_le_bytes());
+    }
+
+    /// `index` encoded with entry `i`'s delta replaced by the raw
+    /// `delta` bytes, every checksum valid.
+    fn sealed_with_delta(index: &CheckpointIndex, i: usize, delta: &[u8]) -> Vec<u8> {
+        let bodies: Vec<Vec<u8>> = index
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(j, e)| {
+                let mut w = Writer::new();
+                encode_entry_head(&mut w, e);
+                if j == i {
+                    w.buf.extend_from_slice(delta);
+                } else {
+                    e.memory.encode(&mut w);
+                }
+                w.buf
+            })
+            .collect();
+        index.seal(&bodies)
+    }
+
+    fn small_index() -> (Vec<u8>, CheckpointIndex) {
+        let m = machine(Mode::OrderOnly, 2);
+        let bytes = stream_bytes(&m, "fft");
+        let index = index_stream(&bytes, 4).unwrap();
+        assert!(index.entries.len() > 2, "{} commits", index.total_commits);
+        (bytes, index)
+    }
+
+    #[test]
+    fn deltas_rebuild_every_snapshot() {
+        let prev = vec![0, 1, 2, 3, 4, 5, 6, 7];
+        let next = vec![9, 1, 2, 8, 8, 5, 6, 0];
+        let d = MemoryDelta::between(&prev, &next);
+        assert_eq!(d.runs, vec![(0, 1), (3, 2), (7, 1)]);
+        let mut image = prev.clone();
+        assert!(d.apply(&mut image));
+        assert_eq!(image, next);
+        assert!(!d.apply(&mut [0; 4]), "a run outside the image is refused");
+        assert_eq!(MemoryDelta::between(&next, &next), MemoryDelta::default());
+        // Long unchanged stretches are skipped block-wise.
+        let mut big = vec![0; 1000];
+        big[999] = 1;
+        big[64] = 2;
+        let d = MemoryDelta::between(&vec![0; 1000], &big);
+        assert_eq!(d.runs, vec![(64, 1), (999, 1)]);
+    }
+
+    #[test]
+    fn index_round_trips_through_dlrnx_bytes() {
+        let m = machine(Mode::OrderOnly, 4);
+        let bytes = stream_bytes(&m, "lu");
+        let index = index_stream(&bytes, 64).unwrap();
+        assert!(!index.entries.is_empty());
+        assert_eq!(index.entries[0].gcc, 0, "commit 0 is always indexed");
+        let encoded = index.to_bytes();
+        let decoded = CheckpointIndex::from_bytes(&encoded).unwrap();
+        assert_eq!(decoded, index);
+        index.validate_against(&bytes).unwrap();
+    }
+
+    #[test]
+    fn v1_sidecar_is_a_version_error() {
+        let (_, index) = small_index();
+        let mut encoded = index.to_bytes();
+        encoded[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            CheckpointIndex::from_bytes(&encoded),
+            Err(CheckpointError::BadVersion(1))
+        );
+    }
+
+    #[test]
+    fn flipped_delta_byte_is_a_checksum_error() {
+        let (_, index) = small_index();
+        let encoded = index.to_bytes();
+        for (i, (off, len)) in entry_spans(&encoded).into_iter().enumerate() {
+            let mut w = Writer::new();
+            index.entries[i].memory.encode(&mut w);
+            let delta_start = off + len - w.buf.len();
+            for pos in [delta_start, off + len - w.buf.len() / 2 - 1, off + len - 1] {
+                let mut bad = encoded.clone();
+                bad[pos] ^= 0x10;
+                assert_eq!(
+                    CheckpointIndex::from_bytes(&bad),
+                    Err(CheckpointError::BadChecksum),
+                    "entry {i} byte {pos} (file checksum)"
+                );
+                // With the file checksum recomputed, the entry's own
+                // checksum still catches it.
+                let mut f = fnv_hasher();
+                f.update(&bad[14..]);
+                bad[6..14].copy_from_slice(&f.value().to_le_bytes());
+                assert_eq!(
+                    CheckpointIndex::from_bytes(&bad),
+                    Err(CheckpointError::BadChecksum),
+                    "entry {i} byte {pos} (entry checksum)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_deltas_are_typed_errors() {
+        let (_, index) = small_index();
+        let words = AddressMap::new(index.n_procs).total_words();
+        let delta = |runs: &[(u64, u64, usize)]| {
+            let mut w = Writer::new();
+            w.varint(runs.len() as u64);
+            for &(gap, len, n_words) in runs {
+                w.varint(gap);
+                w.varint(len);
+                for _ in 0..n_words {
+                    w.u64(7);
+                }
+            }
+            w.buf
+        };
+        // Gaps count from the end of the previous run, so runs that
+        // overlap or go backwards can only be written as a gap that
+        // wraps the address space or a touching (zero-gap) run.
+        let cases: [(&str, Vec<u8>); 5] = [
+            ("zero-length", delta(&[(3, 0, 0)])),
+            ("past the end", delta(&[(words - 1, 2, 2)])),
+            ("starts past the end", delta(&[(words, 1, 1)])),
+            ("touching", delta(&[(3, 1, 1), (0, 1, 1)])),
+            ("wraps backwards", delta(&[(5, 1, 1), (u64::MAX - 3, 1, 1)])),
+        ];
+        for i in [0, index.entries.len() - 1] {
+            for (what, raw) in &cases {
+                let bytes = sealed_with_delta(&index, i, raw);
+                assert!(
+                    matches!(
+                        CheckpointIndex::from_bytes(&bytes),
+                        Err(CheckpointError::Malformed(_))
+                    ),
+                    "{what} run in entry {i}: {:?}",
+                    CheckpointIndex::from_bytes(&bytes)
+                );
+            }
+            // A run whose words are missing is truncated; bytes after
+            // the last run are trailing garbage.
+            let short = sealed_with_delta(&index, i, &delta(&[(3, 2, 1)]));
+            assert!(matches!(
+                CheckpointIndex::from_bytes(&short),
+                Err(CheckpointError::Truncated(_))
+            ));
+            let mut long = delta(&[(3, 1, 1)]);
+            long.push(0);
+            let long = sealed_with_delta(&index, i, &long);
+            assert!(matches!(
+                CheckpointIndex::from_bytes(&long),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
+        // The well-formed control decodes.
+        let ok = sealed_with_delta(&index, 0, &delta(&[(3, 1, 1), (1, 2, 2)]));
+        let decoded = CheckpointIndex::from_bytes(&ok).unwrap();
+        assert_eq!(decoded.entries[0].memory.runs, vec![(3, 1), (5, 2)]);
+    }
+
+    /// The 111-byte sidecar that once aborted the process: valid
+    /// checksums, one 28-byte entry, and `n_procs = u32::MAX`, which
+    /// sized a 34 GB allocation before any entry field was read.
+    #[test]
+    fn forged_processor_count_is_an_error_not_an_abort() {
+        let mut entry = Writer::new();
+        entry.u64(0);
+        entry.u32(0);
+        entry.u64(0);
+        entry.u64(0);
+        let forged = CheckpointIndex {
+            source_len: 0,
+            source_fnv: 0,
+            mode: Mode::OrderOnly,
+            n_procs: u32::MAX,
+            interval_k: 1,
+            total_commits: 0,
+            entries: Vec::new(),
+        };
+        let mut bytes = forged.seal(&[entry.buf]);
+        assert_eq!(bytes.len(), 111);
+        assert!(matches!(
+            CheckpointIndex::from_bytes(&bytes),
+            Err(CheckpointError::Malformed(_))
+        ));
+        // The same bytes in the version-1 layout are refused by version.
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            CheckpointIndex::from_bytes(&bytes),
+            Err(CheckpointError::BadVersion(1))
+        );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random byte flips inside entry bodies, resealed so they reach
+        /// the entry and delta decoders, never panic: they decode to a
+        /// typed error, or to an index whose every state builds.
+        #[test]
+        fn resealed_byte_flips_never_panic(
+            flips in proptest::collection::vec((0usize..1 << 20, 1u8..=255), 1..6),
+        ) {
+            let (_, index) = small_index();
+            let mut encoded = index.to_bytes();
+            let spans = entry_spans(&encoded);
+            for &(at, mask) in &flips {
+                let (off, len) = spans[at % spans.len()];
+                encoded[off + (at / spans.len()) % len] ^= mask;
+            }
+            reseal(&mut encoded);
+            if let Ok(decoded) = CheckpointIndex::from_bytes(&encoded) {
+                for i in 0..decoded.entries.len() {
+                    let _ = decoded.start_state(i);
+                }
+            }
+        }
     }
 
     #[test]

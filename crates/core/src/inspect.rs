@@ -40,9 +40,10 @@
 
 use crate::machine::Recording;
 use crate::mode::Mode;
-use crate::stream::{LogSource, MemorySource};
+use crate::stream::{LogSource, MemorySource, StreamMeta};
 use delorean_chunk::{Committer, SubstrateEvent, TruncationReason};
 use delorean_isa::layout::AddressMap;
+use delorean_isa::vm::VmState;
 use delorean_isa::{Addr, DataMemory, IoBus, Program, Vm, Word};
 use delorean_mem::Memory;
 use std::collections::HashSet;
@@ -272,13 +273,20 @@ impl<S: LogSource> ReplayInspector<S> {
     /// Returns [`InspectError`] when the source carries no stream
     /// metadata (the inspector cannot reconstruct the start state
     /// without it).
-    pub fn from_source(source: S) -> Result<Self, InspectError> {
-        let Some(meta) = source.meta() else {
+    pub fn from_source(mut source: S) -> Result<Self, InspectError> {
+        let Some(meta) = source.take_meta() else {
             return Err(InspectError {
                 detail: "log source carries no recording metadata".to_string(),
                 commit: None,
             });
         };
+        Ok(Self::with_meta(source, meta))
+    }
+
+    /// Builds an inspector over `source` starting from `meta` (already
+    /// taken from the source with [`LogSource::take_meta`]), moving its
+    /// start image into the inspector's memory.
+    pub(crate) fn with_meta(source: S, meta: StreamMeta) -> Self {
         let mode = meta.mode;
         let n_procs = meta.n_procs;
         let budget = meta.budget;
@@ -292,15 +300,17 @@ impl<S: LogSource> ReplayInspector<S> {
                 vm
             })
             .collect();
-        let mut memory = Memory::new(map.total_words());
         let mut chunks_done = vec![0; n_procs as usize];
-        if let Some(start) = &meta.interval {
-            memory = Memory::from_image(start.memory.clone());
-            for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
-                vm.restore(st);
+        let memory = match meta.interval {
+            Some(start) => {
+                for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
+                    vm.restore(st);
+                }
+                chunks_done.copy_from_slice(&start.chunks_done);
+                Memory::from_image(start.memory)
             }
-            chunks_done.copy_from_slice(&start.chunks_done);
-        }
+            None => Memory::new(map.total_words()),
+        };
         // PicoLog's predefined commit order is strict round-robin from
         // processor 0, so under it the per-processor chunk counters
         // differ by at most one and the next committer is the first
@@ -318,7 +328,7 @@ impl<S: LogSource> ReplayInspector<S> {
                 .and_then(|lo| chunks_done.iter().position(|&c| c == lo))
                 .map_or(0, |p| p as u32)
         });
-        Ok(Self {
+        Self {
             source,
             mode,
             n_procs,
@@ -333,7 +343,7 @@ impl<S: LogSource> ReplayInspector<S> {
             watches: HashSet::new(),
             collect_footprints: false,
             done: false,
-        })
+        }
     }
 
     /// Enables (or disables) per-commit read/write line footprint
@@ -349,9 +359,37 @@ impl<S: LogSource> ReplayInspector<S> {
     pub fn capture(&self) -> delorean_chunk::StartState {
         delorean_chunk::StartState {
             memory: self.memory.image(),
-            vm_states: self.vms.iter().map(|v| v.snapshot()).collect(),
+            vm_states: self.vm_states(),
             chunks_done: self.chunks_done.clone(),
         }
+    }
+
+    /// Like [`capture`](Self::capture), but gives the memory image up
+    /// instead of copying it — the end of a seek that only wanted the
+    /// state.
+    pub fn into_state(self) -> delorean_chunk::StartState {
+        delorean_chunk::StartState {
+            vm_states: self.vm_states(),
+            chunks_done: self.chunks_done,
+            memory: self.memory.into_image(),
+        }
+    }
+
+    /// The committed memory image at the current replay point,
+    /// borrowed.
+    pub(crate) fn memory_words(&self) -> &[Word] {
+        self.memory.words()
+    }
+
+    /// Per-processor architected state at the current replay point.
+    pub(crate) fn vm_states(&self) -> Vec<VmState> {
+        self.vms.iter().map(Vm::snapshot).collect()
+    }
+
+    /// Per-processor committed-chunk counters at the current replay
+    /// point.
+    pub(crate) fn chunks_done(&self) -> &[u64] {
+        &self.chunks_done
     }
 
     /// Watches a word address; subsequent commits report value changes

@@ -65,7 +65,7 @@ mod wire;
 
 pub use checkpoint::{
     index_stream, CheckpointEntry, CheckpointError, CheckpointIndex, CheckpointStage,
-    IntervalCheckpoint, ReplayCursor, Snapshot, SystemCheckpoint,
+    IntervalCheckpoint, MemoryDelta, ReplayCursor, Snapshot, SystemCheckpoint,
 };
 pub use error::ReplayError;
 pub use machine::{Machine, MachineBuilder, Recording, ReplayReport};

@@ -161,7 +161,7 @@ impl Recording {
             app_seed: self.app_seed,
             n_procs: self.n_procs,
             gcc,
-            state: inspector.capture(),
+            state: inspector.into_state(),
         })
     }
 }
@@ -554,7 +554,9 @@ impl Machine {
         let (src, start) = cursor.source_at(gcc).map_err(|e| ReplayError::Source {
             detail: e.to_string(),
         })?;
-        let Some(meta) = src.meta().cloned() else {
+        let Some((workload, app_seed, n_procs)) =
+            src.meta().map(|m| (m.workload, m.app_seed, m.n_procs))
+        else {
             return Err(ReplayError::Source {
                 detail: "log source carries no recording metadata".to_string(),
             });
@@ -584,11 +586,11 @@ impl Machine {
             }
         }
         Ok(IntervalCheckpoint {
-            workload: meta.workload,
-            app_seed: meta.app_seed,
-            n_procs: meta.n_procs,
+            workload,
+            app_seed,
+            n_procs,
             gcc,
-            state: inspector.capture(),
+            state: inspector.into_state(),
         })
     }
 

@@ -440,7 +440,7 @@ pub(crate) struct Executor<'o, S: LogSource> {
 impl<'o, S: LogSource> Executor<'o, S> {
     /// Reconstructs the replay start state from the stream metadata —
     /// the same derivation the serial inspector performs.
-    pub(crate) fn new(meta: &StreamMeta, source: S, opts: &'o ParallelReplayOptions) -> Self {
+    pub(crate) fn new(meta: StreamMeta, source: S, opts: &'o ParallelReplayOptions) -> Self {
         let n_procs = meta.n_procs;
         let map = AddressMap::new(n_procs);
         let programs = meta.workload.programs(n_procs, &map, meta.app_seed);
@@ -451,15 +451,17 @@ impl<'o, S: LogSource> Executor<'o, S> {
                 vm
             })
             .collect();
-        let mut memory = Memory::new(map.total_words());
         let mut chunks_done = vec![0; n_procs as usize];
-        if let Some(start) = &meta.interval {
-            memory = Memory::from_image(start.memory.clone());
-            for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
-                vm.restore(st);
+        let memory = match meta.interval {
+            Some(start) => {
+                for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
+                    vm.restore(st);
+                }
+                chunks_done.copy_from_slice(&start.chunks_done);
+                Memory::from_image(start.memory)
             }
-            chunks_done.copy_from_slice(&start.chunks_done);
-        }
+            None => Memory::new(map.total_words()),
+        };
         // PicoLog replays resumed mid-round must restart the
         // round-robin cursor at the first processor still at the
         // minimum chunk count (see the serial inspector). A source

@@ -38,7 +38,7 @@ use crate::stream::{
     StreamTrailer,
 };
 use crate::wire::{fnv_hasher, Reader, MAGIC, SEG_EVENTS, SEG_TRAILER, VERSION};
-use delorean_chunk::Committer;
+use delorean_chunk::{Committer, StartState};
 use delorean_isa::{Addr, Word};
 use std::collections::VecDeque;
 
@@ -408,7 +408,8 @@ fn decode_all_events(
     count: u32,
 ) -> Result<Vec<LogEvent>, DecodeError> {
     let mut r = Reader::new(raw);
-    let mut events = Vec::with_capacity(count as usize);
+    // Every event takes at least one byte of the block.
+    let mut events = Vec::with_capacity((count as usize).min(raw.len()));
     for _ in 0..count {
         events.push(decode_event(&mut r, mode, n_procs, counters)?);
     }
@@ -786,21 +787,32 @@ impl RecoveringSource {
     /// the region (wrong commit index or chunk counters) — resuming
     /// from a mismatched state would silently diverge.
     pub fn resume(s: &Salvage, region: usize, ck: &IntervalCheckpoint) -> Result<Self, String> {
+        Self::resume_state(s, region, ck.gcc, ck.state.clone())
+    }
+
+    /// [`resume`](Self::resume) from the state at commit `gcc`, moved
+    /// in rather than copied.
+    fn resume_state(
+        s: &Salvage,
+        region: usize,
+        gcc: u64,
+        state: StartState,
+    ) -> Result<Self, String> {
         let r = s
             .regions
             .get(region)
             .ok_or_else(|| format!("salvage has no region {region}"))?;
-        if ck.gcc + 1 != r.range.first {
+        if gcc + 1 != r.range.first {
             return Err(format!(
-                "checkpoint at commit {} cannot resume region starting at commit {}",
-                ck.gcc, r.range.first
+                "checkpoint at commit {gcc} cannot resume region starting at commit {}",
+                r.range.first
             ));
         }
-        if ck.state.chunks_done != r.start_counters {
+        if state.chunks_done != r.start_counters {
             return Err("checkpoint chunk counters disagree with the salvaged region".to_string());
         }
         let mut meta = s.meta.clone();
-        meta.interval = Some(ck.state.clone());
+        meta.interval = Some(state);
         let is_last = region + 1 == s.regions.len();
         let reaches_end = s
             .report
@@ -843,9 +855,12 @@ impl RecoveringSource {
             ));
         }
         let boundary = r.range.first - 1;
-        let entry = index
-            .nearest_at_or_before(boundary)
+        let i = index
+            .entries
+            .iter()
+            .rposition(|e| e.gcc <= boundary)
             .ok_or_else(|| format!("index has no checkpoint at or before commit {boundary}"))?;
+        let entry = &index.entries[i];
         if entry.gcc != boundary {
             return Err(format!(
                 "nearest surviving checkpoint (commit {}) does not reach commit {boundary}, \
@@ -854,14 +869,8 @@ impl RecoveringSource {
                 entry.gcc
             ));
         }
-        let ck = IntervalCheckpoint {
-            workload: s.meta.workload,
-            app_seed: s.meta.app_seed,
-            n_procs: s.meta.n_procs,
-            gcc: entry.gcc,
-            state: entry.state.clone(),
-        };
-        let mut src = Self::resume(s, region, &ck)?;
+        let state = index.start_state(i).map_err(|e| e.to_string())?;
+        let mut src = Self::resume_state(s, region, entry.gcc, state)?;
         // The entry carries the exact PicoLog round-robin cursor, which
         // beats the replayer's first-at-minimum derivation.
         src.phase = Some(entry.rr_cursor);

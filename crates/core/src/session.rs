@@ -307,7 +307,7 @@ impl<'m, 's> Session<'m, 's> {
             segments_seen: 0,
             commits_seen: 0,
         };
-        match &interval {
+        match interval {
             Some(start) => run_from(spec, cfg, &mut pipeline, start),
             None => run(spec, cfg, &mut pipeline),
         }
@@ -323,11 +323,11 @@ impl<'m, 's> Session<'m, 's> {
     /// be corrupt or truncated mid-replay.
     pub fn replay_from<S: LogSource>(
         self,
-        source: S,
+        mut source: S,
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
         let m = self.machine;
-        let Some(meta) = source.meta().cloned() else {
+        let Some(meta) = source.take_meta() else {
             return Err(ReplayError::Source {
                 detail: "log source carries no recording metadata".to_string(),
             });
@@ -351,8 +351,7 @@ impl<'m, 's> Session<'m, 's> {
         let spec = RunSpec::new(meta.workload, m.procs(), meta.app_seed, meta.budget)
             .expect("stream decoder validated the shape");
         let replayer = Replayer::from_source(source);
-        let (mut source, stats, divergence) =
-            self.run_replay(&meta, &cfg, &spec, meta.interval.as_ref(), replayer)?;
+        let (mut source, stats, divergence) = self.run_replay(meta, &cfg, &spec, replayer)?;
         if let Some(e) = source.error() {
             return Err(ReplayError::Source {
                 detail: e.to_string(),
@@ -380,11 +379,11 @@ impl<'m, 's> Session<'m, 's> {
     /// in-order path (`opts.jobs == 1`) returns for the same stream.
     pub fn replay_parallel<S: LogSource>(
         mut self,
-        source: S,
+        mut source: S,
         opts: &crate::parallel::ParallelReplayOptions,
     ) -> Result<(ReplayReport, crate::parallel::SpeculationStats), ReplayError> {
         let m = self.machine;
-        let Some(meta) = source.meta().cloned() else {
+        let Some(meta) = source.take_meta() else {
             return Err(ReplayError::Source {
                 detail: "log source carries no recording metadata".to_string(),
             });
@@ -404,7 +403,7 @@ impl<'m, 's> Session<'m, 's> {
         for stage in &mut self.stages {
             stage.on_begin(&meta);
         }
-        let executor = crate::parallel::Executor::new(&meta, source, opts);
+        let executor = crate::parallel::Executor::new(meta, source, opts);
         let (reference, stats, divergence, spec) = executor.run(&mut self.stages)?;
         for stage in &mut self.stages {
             stage.on_end(&stats);
@@ -456,19 +455,19 @@ impl<'m, 's> Session<'m, 's> {
         }
         // Fetch the cross-check state before mutably borrowing the
         // cursor's source.
-        let expected_state = to.and_then(|t| {
-            cursor
-                .index()
-                .entries
-                .iter()
-                .find(|e| e.gcc == t)
-                .map(|e| e.state.clone())
-        });
+        let index = cursor.index();
+        let expected_state = to
+            .and_then(|t| index.entries.iter().position(|e| e.gcc == t))
+            .map(|i| index.start_state(i))
+            .transpose()
+            .map_err(|e| ReplayError::Source {
+                detail: e.to_string(),
+            })?;
         let (src, start) = cursor.source_at(from).map_err(|e| ReplayError::Source {
             detail: e.to_string(),
         })?;
         if let Some(snap) = roll_forward(src, start, from)? {
-            src.rebase_window(&snap);
+            src.rebase_window(snap);
         }
         match to {
             None if jobs > 1 => {
@@ -480,7 +479,7 @@ impl<'m, 's> Session<'m, 's> {
                 self.replay_from(&mut *src, seed)
             }
             Some(t) => {
-                let Some(meta) = src.meta().cloned() else {
+                let Some(meta) = src.take_meta() else {
                     return Err(ReplayError::Source {
                         detail: "log source carries no recording metadata".to_string(),
                     });
@@ -500,8 +499,7 @@ impl<'m, 's> Session<'m, 's> {
                 for stage in &mut self.stages {
                     stage.on_begin(&meta);
                 }
-                let mut ins = ReplayInspector::from_source(&mut *src)
-                    .map_err(|e| ReplayError::Diverged { detail: e.detail })?;
+                let mut ins = ReplayInspector::with_meta(&mut *src, meta);
                 let mut divergence = None;
                 while from + ins.gcc() < t {
                     match ins.step() {
@@ -572,26 +570,26 @@ impl<'m, 's> Session<'m, 's> {
         let meta = StreamMeta::of_recording(recording);
         let spec = recording.run_spec();
         let replayer = Replayer::stratified(m.mode(), m.procs(), &recording.logs, &strat);
-        let (_, stats, divergence) =
-            self.run_replay(&meta, &cfg, &spec, recording.interval.as_ref(), replayer)?;
+        let (_, stats, divergence) = self.run_replay(meta, &cfg, &spec, replayer)?;
         Ok(verified_report(&recording.stats.digest, stats, divergence))
     }
 
     /// The one replay run loop: announce the stream to the stages,
     /// stack them as observers on the replayer driver, guard the engine
     /// against log-starvation deadlocks, and hand back the driver's
-    /// source plus any divergence it latched.
+    /// source plus any divergence it latched. The interval start state
+    /// in `meta` moves into the engine.
     fn run_replay<S: LogSource>(
         mut self,
-        meta: &StreamMeta,
+        mut meta: StreamMeta,
         cfg: &delorean_chunk::EngineConfig,
         spec: &RunSpec,
-        interval: Option<&delorean_chunk::StartState>,
         mut replayer: Replayer<S>,
     ) -> Result<(S, RunStats, Option<String>), ReplayError> {
         for stage in &mut self.stages {
-            stage.on_begin(meta);
+            stage.on_begin(&meta);
         }
+        let interval = meta.interval.take();
         // A corrupt or truncated stream can starve the engine of
         // grants, which it reports by panicking ("engine deadlock");
         // surface that as a stream error rather than crashing. The
@@ -664,7 +662,7 @@ fn roll_forward<R: Read + Seek>(
     Ok(Some(Snapshot {
         gcc: target,
         rr_cursor: ins.rr_phase(),
-        state: ins.capture(),
+        state: ins.into_state(),
     }))
 }
 

@@ -45,6 +45,7 @@ use delorean_chunk::{
     policy, ArbiterConfig, ArbiterContext, CommitRecord, Committer, DeviceConfig, EventObserver,
     ExecutionHooks, GrantPolicy, ParallelStats, ReplayFeed, RunStats, StartState, StateDigest,
 };
+use delorean_isa::vm::VmState;
 use delorean_isa::workload::{self, WorkloadSpec};
 use delorean_isa::{Addr, Word};
 use std::collections::{HashSet, VecDeque};
@@ -547,20 +548,13 @@ impl LogSink for MemorySink {
 // ---------------------------------------------------------------------------
 
 /// Encodes a [`StartState`] (memory image, per-processor architected
-/// state, chunk counters) — shared by the stream metadata's interval
-/// block and the `.dlrnx` checkpoint-index entries, so the two formats
-/// can never drift apart.
+/// state, chunk counters) for the stream metadata's interval block.
 pub(crate) fn encode_start_state(w: &mut Writer, start: &StartState) {
     w.u64(start.memory.len() as u64);
     for &word in &start.memory {
         w.u64(word);
     }
-    for st in &start.vm_states {
-        w.bytes(&st.to_bytes());
-    }
-    for &c in &start.chunks_done {
-        w.u64(c);
-    }
+    encode_procs(w, &start.vm_states, &start.chunks_done);
 }
 
 /// Decodes a [`StartState`] for an `n_procs`-processor machine — the
@@ -570,27 +564,50 @@ pub(crate) fn decode_start_state(
     n_procs: u32,
 ) -> Result<StartState, DecodeError> {
     let n = r.len("interval memory len")?;
-    let mut memory = Vec::with_capacity(n);
+    let mut memory = Vec::with_capacity(n.min(r.remaining() / 8));
     for _ in 0..n {
         memory.push(r.u64("interval memory word")?);
     }
-    let mut vm_states = Vec::with_capacity(n_procs as usize);
-    for _ in 0..n_procs {
-        let b = r.bytes("interval vm state")?;
-        vm_states.push(
-            delorean_isa::vm::VmState::from_bytes(b)
-                .ok_or(DecodeError::Truncated("interval vm state"))?,
-        );
-    }
-    let mut chunks_done = Vec::with_capacity(n_procs as usize);
-    for _ in 0..n_procs {
-        chunks_done.push(r.u64("interval chunks done")?);
-    }
+    let (vm_states, chunks_done) = decode_procs(r, n_procs)?;
     Ok(StartState {
         memory,
         vm_states,
         chunks_done,
     })
+}
+
+/// Encodes the per-processor part of a start state (architected state,
+/// then chunk counters) — shared by the stream's interval block and the
+/// `.dlrnx` checkpoint entries, so the two formats can never drift
+/// apart.
+pub(crate) fn encode_procs(w: &mut Writer, vm_states: &[VmState], chunks_done: &[u64]) {
+    for st in vm_states {
+        w.bytes(&st.to_bytes());
+    }
+    for &c in chunks_done {
+        w.u64(c);
+    }
+}
+
+/// Decodes `n_procs` processors' [`encode_procs`] block.
+pub(crate) fn decode_procs(
+    r: &mut Reader<'_>,
+    n_procs: u32,
+) -> Result<(Vec<VmState>, Vec<u64>), DecodeError> {
+    // Each VM state is at least its 8-byte length prefix, each chunk
+    // counter 8 bytes: a processor count the rest of the input cannot
+    // hold never sizes an allocation.
+    let procs = (n_procs as usize).min(r.remaining() / 8);
+    let mut vm_states = Vec::with_capacity(procs);
+    for _ in 0..n_procs {
+        let b = r.bytes("interval vm state")?;
+        vm_states.push(VmState::from_bytes(b).ok_or(DecodeError::Truncated("interval vm state"))?);
+    }
+    let mut chunks_done = Vec::with_capacity(procs);
+    for _ in 0..n_procs {
+        chunks_done.push(r.u64("interval chunks done")?);
+    }
+    Ok((vm_states, chunks_done))
 }
 
 fn encode_meta(meta: &StreamMeta) -> Vec<u8> {
@@ -1314,6 +1331,14 @@ pub trait LogSource {
     fn n_procs(&self) -> u32;
     /// Stream metadata, when the source carries it.
     fn meta(&self) -> Option<&StreamMeta>;
+    /// Stream metadata for the one run that restores the interval start
+    /// state (an engine, inspector or parallel executor). A source may
+    /// move its start image out rather than copy it, so a seek builds
+    /// its image once; [`meta`](Self::meta) then reports no interval
+    /// until the source is repositioned.
+    fn take_meta(&mut self) -> Option<StreamMeta> {
+        self.meta().cloned()
+    }
     /// The next PI-log entry (PI modes), without consuming it.
     fn pi_peek(&mut self) -> Option<Committer>;
     /// The CS-log-forced size of `core`'s logical chunk `index`.
@@ -1377,6 +1402,9 @@ impl<S: LogSource> LogSource for &mut S {
     }
     fn meta(&self) -> Option<&StreamMeta> {
         (**self).meta()
+    }
+    fn take_meta(&mut self) -> Option<StreamMeta> {
+        (**self).take_meta()
     }
     fn pi_peek(&mut self) -> Option<Committer> {
         (**self).pi_peek()
@@ -2037,8 +2065,10 @@ impl<R: Read> FileSource<R> {
     }
 
     /// Repositions this source at a checkpoint: the decoder seeks to
-    /// the segment containing the checkpoint commit, the restore state
-    /// is installed as the stream's interval start, and events before
+    /// the segment containing the checkpoint commit, `state` (the
+    /// entry's start state, built by
+    /// [`CheckpointIndex::start_state`](crate::CheckpointIndex::start_state))
+    /// is moved in as the stream's interval start, and events before
     /// the checkpoint commit are skipped (their counters still advance
     /// so watermark validation stays intact).
     ///
@@ -2049,6 +2079,7 @@ impl<R: Read> FileSource<R> {
     pub fn seek_to_checkpoint(
         &mut self,
         entry: &crate::checkpoint::CheckpointEntry,
+        state: StartState,
     ) -> Result<(), DecodeError> {
         self.dec.seek_to(
             entry.seg_byte_offset,
@@ -2058,13 +2089,13 @@ impl<R: Read> FileSource<R> {
         self.clear_queues();
         self.commits_seen = entry.seg_start_gcc;
         self.chunks_seen = entry.seg_start_chunks.clone();
-        self.committed = entry.state.chunks_done.clone();
+        self.committed = entry.chunks_done.clone();
         self.skip_until = entry.gcc;
         self.slot_base = entry.gcc;
         self.trailer = None;
         self.eof = false;
         self.error = None;
-        self.dec.meta.interval = Some(entry.state.clone());
+        self.dec.meta.interval = Some(state);
         self.phase = Some(entry.rr_cursor);
         Ok(())
     }
@@ -2073,14 +2104,14 @@ impl<R: Read> FileSource<R> {
     /// rolling the stream forward (via an inspector) from the last
     /// checkpoint. Buffered PicoLog DMA slots are renumbered relative
     /// to the new window start.
-    pub(crate) fn rebase_window(&mut self, snap: &crate::checkpoint::Snapshot) {
+    pub(crate) fn rebase_window(&mut self, snap: crate::checkpoint::Snapshot) {
         let delta = snap.gcc.saturating_sub(self.slot_base);
         for s in &mut self.dma_slots {
             *s = s.saturating_sub(delta);
         }
         self.slot_base = snap.gcc;
         self.committed = snap.state.chunks_done.clone();
-        self.dec.meta.interval = Some(snap.state.clone());
+        self.dec.meta.interval = Some(snap.state);
         self.phase = Some(snap.rr_cursor);
     }
 
@@ -2167,6 +2198,14 @@ impl<R: Read> LogSource for FileSource<R> {
 
     fn meta(&self) -> Option<&StreamMeta> {
         Some(&self.dec.meta)
+    }
+
+    fn take_meta(&mut self) -> Option<StreamMeta> {
+        let interval = self.dec.meta.interval.take();
+        Some(StreamMeta {
+            interval,
+            ..self.dec.meta.clone()
+        })
     }
 
     fn pi_peek(&mut self) -> Option<Committer> {
@@ -2406,6 +2445,20 @@ mod tests {
         assert_eq!(a, events[0]);
         assert_eq!(b, events[1]);
         assert_eq!(counters, vec![0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn forged_counts_never_size_an_allocation() {
+        // An empty image, then nothing: a processor count of u32::MAX
+        // must fail on the missing bytes, not reserve 34 GB first.
+        let mut w = Writer::new();
+        w.u64(0);
+        assert!(decode_start_state(&mut Reader::new(&w.buf), u32::MAX).is_err());
+        // A memory length the input cannot hold is truncation too.
+        let mut w = Writer::new();
+        w.u64(8);
+        w.u64(1);
+        assert!(decode_start_state(&mut Reader::new(&w.buf), 1).is_err());
     }
 
     #[test]

@@ -38,6 +38,15 @@ impl Writer {
     pub(crate) fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
+    /// LEB128: seven bits a byte, low group first, high bit set on
+    /// every byte but the last.
+    pub(crate) fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
     pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
@@ -83,6 +92,28 @@ impl<'a> Reader<'a> {
     }
     pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, DecodeError> {
         Ok(f64::from_le_bytes(self.array(what)?))
+    }
+    /// Reads a [`Writer::varint`]. A value that overflows 64 bits is
+    /// truncated input, like any other field that cannot be read.
+    pub(crate) fn varint(&mut self, what: &'static str) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8(what)?;
+            let group = u64::from(b & 0x7f);
+            if shift == 63 && group > 1 {
+                return Err(DecodeError::Truncated(what));
+            }
+            v |= group << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(DecodeError::Truncated(what))
+    }
+    /// Bytes left to read — the bound for any element count taken from
+    /// the input, so a forged count can never size an allocation.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
     pub(crate) fn len(&mut self, what: &'static str) -> Result<usize, DecodeError> {
         let n = self.u64(what)?;
@@ -178,6 +209,9 @@ mod tests {
         w.u64(1 << 40);
         w.f64(2.5);
         w.str("barnes");
+        for v in [0, 127, 128, 300, u64::MAX] {
+            w.varint(v);
+        }
         let mut r = Reader::new(&w.buf);
         assert_eq!(r.u8("a").unwrap(), 7);
         assert_eq!(r.u16("b").unwrap(), 300);
@@ -185,7 +219,22 @@ mod tests {
         assert_eq!(r.u64("d").unwrap(), 1 << 40);
         assert_eq!(r.f64("e").unwrap(), 2.5);
         assert_eq!(r.str("f").unwrap(), "barnes");
+        for v in [0, 127, 128, 300, u64::MAX] {
+            assert_eq!(r.varint("v").unwrap(), v);
+        }
         assert!(r.done());
         assert!(r.u8("g").is_err());
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected() {
+        // Eleven continuation groups, and a tenth group past bit 63.
+        for bad in [
+            &[0xff; 11][..],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+        ] {
+            assert!(Reader::new(bad).varint("v").is_err());
+        }
+        assert!(Reader::new(&[0x80]).varint("v").is_err(), "unterminated");
     }
 }
