@@ -32,9 +32,9 @@
 //!
 //! The result is exported as a versioned, checksummed **certificate**
 //! (`<log>.deps.json`): a hand-rolled JSON document fingerprinted
-//! against the source `.dlrn` bytes, byte-deterministic across runs,
-//! which a future chunk-parallel replay executor can consume as its
-//! scheduling input (ROADMAP item 1).
+//! against the source `.dlrn` bytes, byte-deterministic across runs.
+//! It is a measurement of the parallelism the recorded order leaves
+//! available; no replayer consumes it.
 
 use crate::report::{diagnostics_json, json_escape, Diagnostic};
 use delorean::inspect::{CommitEvent, InspectError, ReplayInspector};
@@ -145,19 +145,6 @@ pub struct DepsReport {
 }
 
 impl DepsReport {
-    /// Distills the report's reduced exact DAG into
-    /// [`DependenceHints`](delorean::DependenceHints) for the
-    /// chunk-parallel replay executor (`replay --jobs N --cert`): a
-    /// commit slot whose transitive DAG ancestors all retired before a
-    /// speculation round's freeze point needs no retirement-time
-    /// signature check. Hints from a partial (salvaged-prefix) report
-    /// cover only the recovered slots; uncovered slots are never
-    /// skipped.
-    pub fn hints(&self) -> delorean::DependenceHints {
-        let n_slots = self.nodes.last().map_or(0, |n| n.slot);
-        delorean::DependenceHints::from_edges(n_slots, &self.reduced_edges)
-    }
-
     /// A report for a replay that failed before completing.
     pub fn failed(err: &InspectError) -> Self {
         Self {
@@ -972,65 +959,6 @@ pub fn validate_certificate(text: &str, source: Option<&[u8]>) -> Result<CertSum
         node_count: field_u64(text, "\"node_count\":")?,
         edge_count: field_u64(text, "\"edge_count\":")?,
     })
-}
-
-/// Parses a certificate's reduced-edge list (`"edges":[[u,v],...]`).
-fn parse_edges(text: &str) -> Result<Vec<(u64, u64)>, String> {
-    let open = "\"edges\":[";
-    let start = text
-        .find(open)
-        .ok_or_else(|| "certificate carries no edge list".to_string())?;
-    let rest = &text[start + open.len()..];
-    let end = rest
-        .find("],\"stats\":")
-        .ok_or_else(|| "certificate edge list is unterminated".to_string())?;
-    let mut edges = Vec::new();
-    for pair in rest[..end].split("],[") {
-        let pair = pair.trim_matches(|c| c == '[' || c == ']');
-        if pair.is_empty() {
-            continue;
-        }
-        let (u, v) = pair
-            .split_once(',')
-            .ok_or_else(|| format!("malformed certificate edge [{pair}]"))?;
-        let u = u
-            .trim()
-            .parse()
-            .map_err(|_| format!("malformed certificate edge [{pair}]"))?;
-        let v = v
-            .trim()
-            .parse()
-            .map_err(|_| format!("malformed certificate edge [{pair}]"))?;
-        edges.push((u, v));
-    }
-    Ok(edges)
-}
-
-/// Validates a certificate document and distills its dependence DAG
-/// into [`DependenceHints`](delorean::DependenceHints) for the
-/// chunk-parallel replay executor.
-///
-/// Pass the source `.dlrn` bytes whenever they are at hand: the
-/// fingerprint binding is what guarantees the hints describe the stream
-/// actually being replayed. (Hints are an optimization only — the
-/// executor still revalidates log entries and retires in order — but a
-/// mismatched certificate would squander exactly the checks it was
-/// meant to skip.)
-///
-/// # Errors
-///
-/// Returns the first [`validate_certificate`] violation, or a
-/// description of a malformed edge list.
-pub fn certificate_hints(
-    text: &str,
-    source: Option<&[u8]>,
-) -> Result<delorean::DependenceHints, String> {
-    let summary = validate_certificate(text, source)?;
-    let edges = parse_edges(text)?;
-    Ok(delorean::DependenceHints::from_edges(
-        summary.node_count,
-        &edges,
-    ))
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@ pub mod races;
 pub mod report;
 
 pub use deps::{
-    analyze_deps, certificate_hints, deps_from_bytes, fingerprint, validate_certificate,
-    CertSummary, DepNode, DepsOptions, DepsReport, CERT_SCHEMA_VERSION, PROFILE_CORES,
+    analyze_deps, deps_from_bytes, fingerprint, validate_certificate, CertSummary, DepNode,
+    DepsOptions, DepsReport, CERT_SCHEMA_VERSION, PROFILE_CORES,
 };
 pub use footprint::{
     analyze_workload, find_static_races, AbsVal, AccessSite, FootprintReport, StaticOptions,

@@ -191,54 +191,3 @@ proptest! {
         prop_assert!(validate_certificate(&cert_a, Some(&bytes)).is_ok());
     }
 }
-
-/// A certificate feeds straight back into the chunk-parallel replay
-/// executor: `certificate_hints` distills the reduced DAG, the hinted
-/// replay provably skips some retirement-time signature checks, and the
-/// result stays byte-identical to the serial replay. Tampered
-/// certificates are refused before any hint is produced.
-#[test]
-fn certificate_hints_drive_the_parallel_executor() {
-    use delorean::{FileSource, ParallelReplayOptions};
-    use delorean_analyze::certificate_hints;
-
-    let spec = workload::by_name("fft").unwrap();
-    let rec = record(spec, Mode::OrderOnly, 4, 11, 4_000, ArbiterConfig::Global);
-    let bytes = serialize::to_bytes(&rec);
-    let report = deps_from_bytes(&bytes, &DepsOptions::default());
-    assert_eq!(error_count(&report), 0, "{:?}", report.diagnostics);
-    let cert = report.certificate().expect("complete replay emits a cert");
-    let hints = certificate_hints(&cert, Some(&bytes)).expect("pristine cert distills to hints");
-    assert_eq!(hints.len() as u64, rec.stats.total_commits);
-
-    let mut b = Machine::builder();
-    b.mode(Mode::OrderOnly).procs(4).budget(4_000);
-    let m = b.build();
-    let open = || FileSource::open(&bytes[..]).expect("pristine stream decodes");
-    let (serial, _) = m
-        .replay_parallel_with(open(), &ParallelReplayOptions::with_jobs(1))
-        .unwrap();
-    assert!(serial.deterministic, "{:?}", serial.divergence);
-    let opts = ParallelReplayOptions {
-        jobs: 4,
-        depth: 8,
-        hints: Some(hints),
-    };
-    let (hinted, spec_stats) = m.replay_parallel_with(open(), &opts).unwrap();
-    assert!(hinted.deterministic, "{:?}", hinted.divergence);
-    assert_eq!(hinted.stats.digest, serial.stats.digest);
-    assert!(
-        spec_stats.hint_skips > 0,
-        "an exact-DAG certificate must prove at least one check redundant: {spec_stats:?}"
-    );
-
-    // `DepsReport::hints()` is the in-process shortcut for the same DAG.
-    let direct = report.hints();
-    assert_eq!(direct.len(), rec.stats.total_commits as usize);
-
-    // A tampered certificate must be refused outright.
-    let tampered = cert.replace("\"edges\":[", "\"edges\":[[1,2],");
-    assert!(certificate_hints(&tampered, Some(&bytes))
-        .unwrap_err()
-        .contains("checksum mismatch"));
-}

@@ -666,49 +666,6 @@ fn summarize(figures: &[Figure], records: &[BenchRecord]) -> Vec<FigureSummary> 
                     ),
                 );
             }
-            Figure::Rscale => {
-                // Replay scaling vs worker count. `wall_*` metrics are
-                // wall-clock (host-dependent, volatile — on a
-                // single-core host the speedup sits at or below 1.0);
-                // the speculation fractions are deterministic.
-                let at_jobs = |n: u32| -> Vec<&BenchRecord> {
-                    recs.iter()
-                        .filter(|r| r.mode == format!("preplay-j{n}"))
-                        .copied()
-                        .collect()
-                };
-                let serial = at_jobs(1);
-                for n in [1u32, 2, 4, 8, 16] {
-                    let rs = at_jobs(n);
-                    push(
-                        &format!("wall_replay_ms_gm_j{n}"),
-                        gm(&rs.iter().map(|r| r.timings.replay_ms).collect::<Vec<_>>()),
-                    );
-                    let speedup: Vec<f64> = rs
-                        .iter()
-                        .filter_map(|r| {
-                            let base = serial.iter().find(|b| b.workload == r.workload)?;
-                            if r.timings.replay_ms <= 0.0 {
-                                return None;
-                            }
-                            Some(base.timings.replay_ms / r.timings.replay_ms)
-                        })
-                        .collect();
-                    push(&format!("wall_speedup_j{n}"), gm(&speedup));
-                    push(
-                        &format!("spec_retire_frac_j{n}"),
-                        mean(
-                            &rs.iter()
-                                .filter_map(|r| {
-                                    let spec = extra(r, "spec_retires")?;
-                                    let total = spec + extra(r, "serial_retires")?;
-                                    (total > 0.0).then_some(spec / total)
-                                })
-                                .collect::<Vec<_>>(),
-                        ),
-                    );
-                }
-            }
             Figure::Seek => {
                 // Seek latency to an interior commit, cold (slot-0
                 // roll-forward) vs warm (checkpoint seek). Latencies are

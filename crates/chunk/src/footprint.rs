@@ -24,10 +24,7 @@ use delorean_mem::Signature;
 /// workspace: two chunks may execute (or replay) in either relative
 /// order iff their footprints do not conflict under
 /// [`ChunkFootprint::conflicts_exact`]. The `deps` analysis pass builds
-/// its dependence DAG from them, and the chunk-parallel replay executor
-/// accepts a speculative result only when the chunk's read lines avoid
-/// every line written by *other* committers since the chunk ran —
-/// the executor-side restatement of the same test.
+/// its dependence DAG from them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkFootprint {
     /// Cache lines read, ascending.

@@ -7,7 +7,7 @@
 //! delorean info run.dlrn
 //! delorean replay run.dlrn --seed 99
 //! delorean replay run.dlrn --stratified 1
-//! delorean replay run.dlrn --jobs 8 --cert run.cert
+//! delorean inspect run.dlrn --limit 0
 //! delorean inspect run.dlrn --watch 0x30001 --limit 40
 //! ```
 
@@ -46,8 +46,7 @@ usage:
                   [--arbiter global|sharded:K] [--trace PATH]
   delorean info <file>
   delorean replay <file> [--seed N] [--stratified MAX]
-  delorean replay <file> --jobs N [--cert PATH]
-  delorean replay <file> --from N [--to M] [--index PATH] [--jobs N]
+  delorean replay <file> --from N [--to M] [--index PATH]
   delorean checkpoint <file> [--every K] [-o PATH]
   delorean checkpoint <file> --check PATH
   delorean inspect <file> [--watch ADDR]... [--limit N] [--json]
@@ -134,17 +133,12 @@ fn machine_for(recording: &Recording) -> Machine {
 }
 
 fn machine_from_meta(meta: &StreamMeta) -> Machine {
-    machine_from_meta_with_jobs(meta, 1)
-}
-
-fn machine_from_meta_with_jobs(meta: &StreamMeta, jobs: u32) -> Machine {
     Machine::builder()
         .mode(meta.mode)
         .procs(meta.n_procs)
         .chunk_size(meta.chunk_size)
         .budget(meta.budget)
         .devices(meta.devices)
-        .replay_jobs(jobs)
         .build()
 }
 
@@ -281,11 +275,18 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &Args) -> Result<(), String> {
+    // The flags of the removed speculative parallel replayer must not
+    // be silently ignored.
+    for flag in ["--jobs", "--cert"] {
+        if args.get(flag).is_some() {
+            return Err(format!(
+                "replay {flag} was removed with the speculative parallel replayer; \
+                 `delorean inspect <file> --limit 0` prints the functional replay verdict"
+            ));
+        }
+    }
     if args.get("--from").is_some() || args.get("--to").is_some() {
         return cmd_replay_window(args);
-    }
-    if let Some(jobs) = args.num("--jobs")? {
-        return cmd_replay_parallel(args, jobs as u32);
     }
     let seed = args.num("--seed")?.unwrap_or(0x5a5a);
     let report = if let Some(max) = args.num("--stratified")? {
@@ -312,69 +313,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     println!(
         "replayed {} commits in {} cycles",
         report.stats.total_commits, report.stats.cycles
-    );
-    if report.deterministic {
-        println!("deterministic: yes — execution reproduced bit-exactly");
-        Ok(())
-    } else {
-        Err(format!(
-            "replay diverged: {}",
-            report.divergence.unwrap_or_default()
-        ))
-    }
-}
-
-/// `replay --jobs N [--cert PATH]`: the chunk-parallel executor.
-/// Retirement stays in recorded slot order, so the digest fingerprint
-/// printed here is byte-identical at every job count — CI smoke tests
-/// compare that line across `--jobs` values.
-fn cmd_replay_parallel(args: &Args, jobs: u32) -> Result<(), String> {
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
-    if args.num("--stratified")?.is_some() {
-        return Err("--stratified and --jobs are mutually exclusive".to_string());
-    }
-    let path = recording_path(args)?;
-    let mut opts = delorean::ParallelReplayOptions::with_jobs(jobs);
-    if let Some(cpath) = args.get("--cert") {
-        let cert = std::fs::read_to_string(&cpath).map_err(|e| format!("reading {cpath}: {e}"))?;
-        // Bind the certificate to this stream: a cert generated from a
-        // different recording fails the fingerprint check here rather
-        // than silently mis-hinting the executor.
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let hints = delorean_analyze::certificate_hints(&cert, Some(&bytes))
-            .map_err(|e| format!("certificate {cpath}: {e}"))?;
-        println!(
-            "certificate {cpath}: dependence hints for {} slots",
-            hints.len()
-        );
-        opts.hints = Some(hints);
-    }
-    let source = open_source(path)?;
-    let meta = source
-        .meta()
-        .ok_or("stream carries no recording metadata")?;
-    let machine = machine_from_meta(meta);
-    let (report, spec) = machine
-        .replay_parallel_with(source, &opts)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "replayed {} commits in {} cycles ({jobs} jobs)",
-        report.stats.total_commits, report.stats.cycles
-    );
-    println!(
-        "speculation: {} rounds, {} chunks speculated, {} retired speculatively, {} in order, {} conflicts, {} hint skips",
-        spec.rounds,
-        spec.speculated_chunks,
-        spec.speculative_retires,
-        spec.serial_retires,
-        spec.conflicts,
-        spec.hint_skips
-    );
-    println!(
-        "digest fingerprint {:#018x}",
-        report.stats.digest.fingerprint()
     );
     if report.deterministic {
         println!("deterministic: yes — execution reproduced bit-exactly");
@@ -451,16 +389,12 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, String> {
 
 /// `replay --from N [--to M]`: seeks to the nearest checkpoint at or
 /// before N via the `.dlrnx` sidecar, rolls forward, and replays only
-/// the window — through the serial engine, or the chunk-parallel
-/// executor when `--jobs` is given.
+/// the window — on the timing engine when it runs to the end, on the
+/// functional replayer when `--to` bounds it.
 fn cmd_replay_window(args: &Args) -> Result<(), String> {
     let path = recording_path(args)?.clone();
     let from = args.num("--from")?.unwrap_or(0);
     let to = args.num("--to")?;
-    let jobs = args.num("--jobs")?.unwrap_or(1) as u32;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
     if args.num("--stratified")?.is_some() {
         return Err("--stratified and --from/--to are mutually exclusive".to_string());
     }
@@ -468,7 +402,7 @@ fn cmd_replay_window(args: &Args) -> Result<(), String> {
         .meta()
         .ok_or("stream carries no recording metadata")?
         .clone();
-    let machine = machine_from_meta_with_jobs(&meta, jobs);
+    let machine = machine_from_meta(&meta);
     let mut cursor = open_cursor(args, &path)?;
     let report = machine
         .replay_window(&mut cursor, from, to)
@@ -478,13 +412,8 @@ fn cmd_replay_window(args: &Args) -> Result<(), String> {
         None => format!("{from}..end"),
     };
     println!(
-        "replayed window {span}: {} commit(s){}",
-        report.stats.total_commits,
-        if jobs > 1 {
-            format!(" ({jobs} jobs)")
-        } else {
-            String::new()
-        }
+        "replayed window {span}: {} commit(s)",
+        report.stats.total_commits
     );
     println!(
         "digest fingerprint {:#018x}",
@@ -598,12 +527,9 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         }
         printed += 1;
     }
-    let report = {
-        // A second streaming pass verifies the digest against the trailer.
-        let mut check =
-            ReplayInspector::from_source(open_source(&path)?).map_err(|e| e.to_string())?;
-        check.run_to_end().map_err(|e| e.to_string())?
-    };
+    // The inspector stepped to the end; verify its state against the
+    // trailer digest.
+    let report = inspector.run_to_end().map_err(|e| e.to_string())?;
     if json {
         println!(
             "{{\"event\":\"inspect_end\",\"commits\":{},\"matches_recording\":{}}}",

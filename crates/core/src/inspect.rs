@@ -381,6 +381,11 @@ impl<S: LogSource> ReplayInspector<S> {
         self.memory.words()
     }
 
+    /// The log source the inspector reads from.
+    pub(crate) fn source_mut(&mut self) -> &mut S {
+        &mut self.source
+    }
+
     /// Per-processor architected state at the current replay point.
     pub(crate) fn vm_states(&self) -> Vec<VmState> {
         self.vms.iter().map(Vm::snapshot).collect()

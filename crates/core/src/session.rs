@@ -42,7 +42,7 @@ use crate::stream::{
 };
 use delorean_chunk::{
     run, run_from, ArbiterContext, CommitRecord, Committer, EventObserver, ExecutionHooks,
-    GrantPolicy, HookStack, RunStats, StateDigest, SubstrateEvent,
+    GrantPolicy, HookStack, RunStats, StartState, StateDigest, SubstrateEvent,
 };
 use delorean_sim::RunSpec;
 use std::io::{Read, Seek};
@@ -313,19 +313,9 @@ impl<'m, 's> Session<'m, 's> {
         }
     }
 
-    /// Replays from a log source with an explicit replay-side timing
-    /// seed — see [`Machine::replay_from_with_seed`] for the contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError`] when the source carries no metadata, the
-    /// machine shape or mode does not match, or the stream turns out to
-    /// be corrupt or truncated mid-replay.
-    pub fn replay_from<S: LogSource>(
-        self,
-        mut source: S,
-        timing_seed: u64,
-    ) -> Result<ReplayReport, ReplayError> {
+    /// Takes the source's recording metadata and checks it against
+    /// this machine's shape and mode.
+    fn checked_meta<S: LogSource>(&self, source: &mut S) -> Result<StreamMeta, ReplayError> {
         let m = self.machine;
         let Some(meta) = source.take_meta() else {
             return Err(ReplayError::Source {
@@ -344,6 +334,24 @@ impl<'m, 's> Session<'m, 's> {
                 replaying: m.mode(),
             });
         }
+        Ok(meta)
+    }
+
+    /// Replays from a log source with an explicit replay-side timing
+    /// seed — see [`Machine::replay_from_with_seed`] for the contract.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReplayError`] when the source carries no metadata, the
+    /// machine shape or mode does not match, or the stream turns out to
+    /// be corrupt or truncated mid-replay.
+    pub fn replay_from<S: LogSource>(
+        self,
+        mut source: S,
+        timing_seed: u64,
+    ) -> Result<ReplayReport, ReplayError> {
+        let m = self.machine;
+        let meta = self.checked_meta(&mut source)?;
         let cfg = m.replay_config_for(&meta.workload, meta.chunk_size, meta.devices, timing_seed);
         // The stream decoder bounds n_procs and budget before `meta`
         // exists, and this machine's shape was checked against it.
@@ -363,59 +371,110 @@ impl<'m, 's> Session<'m, 's> {
         Ok(verified_report(&trailer.stats.digest, stats, divergence))
     }
 
-    /// Replays from a log source with the chunk-parallel executor —
-    /// see [`Machine::replay_parallel`] for the contract. The stacked
-    /// stages observe one [`SubstrateEvent::Commit`] per retired commit
-    /// in recorded slot order (with the slot number standing in for the
-    /// cycle timestamp, since this executor replays values, not
-    /// timing), regardless of how many worker threads re-executed the
-    /// chunks.
+    /// Replays values, not timing: the software [`ReplayInspector`]
+    /// applies the commits in recorded order, and the stacked stages
+    /// observe one [`SubstrateEvent::Commit`] per commit (with the
+    /// commit slot standing in for the cycle timestamp). With
+    /// `stop = None` the replay runs to the end of the stream and is
+    /// verified against the trailer digest; with `stop = Some(n)` it
+    /// stops after `n` commits and the report's digest is the state
+    /// digest at that point. The report carries no cycle counts.
     ///
     /// # Errors
     ///
-    /// Returns [`ReplayError`] when the source carries no metadata, the
-    /// machine shape or mode does not match, or the stream turns out to
-    /// be corrupt or truncated mid-replay — byte-identical to what the
-    /// in-order path (`opts.jobs == 1`) returns for the same stream.
-    pub fn replay_parallel<S: LogSource>(
+    /// Returns [`ReplayError::Source`] when the source carries no
+    /// metadata or the stream is corrupt or truncated,
+    /// [`ReplayError::Diverged`] when the logs are inconsistent with
+    /// the execution, and a mismatch error when the machine shape or
+    /// mode does not match.
+    pub fn replay_functional<S: LogSource>(
+        self,
+        source: S,
+        stop: Option<u64>,
+    ) -> Result<ReplayReport, ReplayError> {
+        self.replay_functional_checked(source, stop, None)
+    }
+
+    /// [`replay_functional`](Session::replay_functional), additionally
+    /// comparing the state at `stop` with `expected`.
+    fn replay_functional_checked<S: LogSource>(
         mut self,
         mut source: S,
-        opts: &crate::parallel::ParallelReplayOptions,
-    ) -> Result<(ReplayReport, crate::parallel::SpeculationStats), ReplayError> {
-        let m = self.machine;
-        let Some(meta) = source.take_meta() else {
-            return Err(ReplayError::Source {
-                detail: "log source carries no recording metadata".to_string(),
-            });
-        };
-        if meta.n_procs != m.procs() {
-            return Err(ReplayError::MachineMismatch {
-                recorded: meta.n_procs,
-                replaying: m.procs(),
-            });
-        }
-        if meta.mode != m.mode() {
-            return Err(ReplayError::ModeMismatch {
-                recorded: meta.mode,
-                replaying: m.mode(),
-            });
-        }
+        stop: Option<u64>,
+        expected: Option<StartState>,
+    ) -> Result<ReplayReport, ReplayError> {
+        let meta = self.checked_meta(&mut source)?;
         for stage in &mut self.stages {
             stage.on_begin(&meta);
         }
-        let executor = crate::parallel::Executor::new(meta, source, opts);
-        let (reference, stats, divergence, spec) = executor.run(&mut self.stages)?;
+        let mut ins = ReplayInspector::with_meta(source, meta);
+        let mut stats = RunStats::default();
+        let mut divergence = None;
+        while stop.is_none_or(|n| ins.gcc() < n) {
+            let ev = match ins.step() {
+                Ok(Some(ev)) => ev,
+                Ok(None) => {
+                    if let Some(n) = stop {
+                        divergence = Some(format!(
+                            "stream ended after {} commits, before commit {n}",
+                            ins.gcc()
+                        ));
+                    }
+                    break;
+                }
+                Err(e) => {
+                    return Err(match ins.source_mut().error() {
+                        Some(s) => ReplayError::Source {
+                            detail: s.to_string(),
+                        },
+                        None => ReplayError::Diverged { detail: e.detail },
+                    })
+                }
+            };
+            match ev.committer {
+                Committer::Dma => stats.dma_commits += 1,
+                Committer::Proc(_) => stats.interrupts += u64::from(ev.interrupt),
+            }
+            let sub = ev.to_substrate();
+            for stage in &mut self.stages {
+                stage.on_event(ev.gcc, &sub);
+            }
+        }
+        if let (None, Some(exp)) = (&divergence, &expected) {
+            if ins.memory_words() != exp.memory.as_slice()
+                || ins.vm_states() != exp.vm_states
+                || ins.chunks_done() != exp.chunks_done.as_slice()
+            {
+                divergence = Some(format!(
+                    "state after {} replayed commits differs from the checkpoint index",
+                    ins.gcc()
+                ));
+            }
+        }
+        stats.total_commits = ins.gcc();
+        stats.digest = ins.digest();
         for stage in &mut self.stages {
             stage.on_end(&stats);
         }
-        Ok((verified_report(&reference, stats, divergence), spec))
+        if stop.is_some() {
+            return Ok(ReplayReport {
+                deterministic: divergence.is_none(),
+                divergence,
+                stats,
+            });
+        }
+        let trailer = ins
+            .source_mut()
+            .finish()
+            .map_err(|detail| ReplayError::Source { detail })?;
+        Ok(verified_report(&trailer.stats.digest, stats, divergence))
     }
 
     /// Replays a window of a recording through a seekable
     /// [`ReplayCursor`] — see [`Machine::replay_window`] for the
-    /// contract. `jobs > 1` selects the chunk-parallel executor for
-    /// run-to-end windows; bounded windows (`to = Some(_)`) replay on
-    /// the software inspector, which can stop at an exact commit.
+    /// contract. Windows that run to the end replay on the timing
+    /// engine; bounded windows (`to = Some(_)`) replay functionally,
+    /// which can stop at an exact commit.
     ///
     /// # Errors
     ///
@@ -424,13 +483,11 @@ impl<'m, 's> Session<'m, 's> {
     /// stream fails mid-window — byte-identical to a full replay
     /// truncated to the same window.
     pub fn replay_window<R: Read + Seek>(
-        mut self,
+        self,
         cursor: &mut ReplayCursor<R>,
         from: u64,
         to: Option<u64>,
-        jobs: u32,
     ) -> Result<ReplayReport, ReplayError> {
-        let m = self.machine;
         let total = cursor.index().total_commits;
         if from > total {
             return Err(ReplayError::Diverged {
@@ -470,78 +527,11 @@ impl<'m, 's> Session<'m, 's> {
             src.rebase_window(snap);
         }
         match to {
-            None if jobs > 1 => {
-                let opts = crate::parallel::ParallelReplayOptions::with_jobs(jobs);
-                self.replay_parallel(&mut *src, &opts).map(|(r, _)| r)
-            }
             None => {
-                let seed = m.replay_seed();
-                self.replay_from(&mut *src, seed)
+                let seed = self.machine.replay_seed();
+                self.replay_from(src, seed)
             }
-            Some(t) => {
-                let Some(meta) = src.take_meta() else {
-                    return Err(ReplayError::Source {
-                        detail: "log source carries no recording metadata".to_string(),
-                    });
-                };
-                if meta.n_procs != m.procs() {
-                    return Err(ReplayError::MachineMismatch {
-                        recorded: meta.n_procs,
-                        replaying: m.procs(),
-                    });
-                }
-                if meta.mode != m.mode() {
-                    return Err(ReplayError::ModeMismatch {
-                        recorded: meta.mode,
-                        replaying: m.mode(),
-                    });
-                }
-                for stage in &mut self.stages {
-                    stage.on_begin(&meta);
-                }
-                let mut ins = ReplayInspector::with_meta(&mut *src, meta);
-                let mut divergence = None;
-                while from + ins.gcc() < t {
-                    match ins.step() {
-                        Ok(Some(ev)) => {
-                            let sub = ev.to_substrate();
-                            for stage in &mut self.stages {
-                                stage.on_event(ev.gcc, &sub);
-                            }
-                        }
-                        Ok(None) => {
-                            divergence = Some(format!(
-                                "stream ended at commit {} inside the window",
-                                from + ins.gcc()
-                            ));
-                            break;
-                        }
-                        Err(e) => return Err(ReplayError::Diverged { detail: e.detail }),
-                    }
-                }
-                if divergence.is_none() {
-                    if let Some(exp) = &expected_state {
-                        if ins.capture() != *exp {
-                            divergence = Some(format!(
-                                "state at commit {t} differs from the checkpoint index"
-                            ));
-                        }
-                    }
-                }
-                let stats = RunStats {
-                    total_commits: ins.gcc(),
-                    digest: ins.digest(),
-                    ..RunStats::default()
-                };
-                for stage in &mut self.stages {
-                    stage.on_end(&stats);
-                }
-                Ok(ReplayReport {
-                    deterministic: divergence.is_none(),
-                    divergence,
-                    stats,
-                })
-            }
+            Some(t) => self.replay_functional_checked(src, Some(t - from), expected_state),
         }
     }
 
@@ -799,6 +789,46 @@ mod tests {
         assert_eq!(tally.begins, 1);
         assert_eq!(tally.ends, 1);
         assert_eq!(tally.commits, report.stats.total_commits);
+    }
+
+    #[test]
+    fn functional_replay_verifies_and_stops_on_request() {
+        let m = machine(Mode::OrderOnly);
+        let w = workload::by_name("fft").unwrap();
+        let recording = m.record(w, 7);
+        let source = || crate::stream::MemorySource::of_recording(&recording);
+        let mut tally = EventTally::default();
+        let report = m
+            .session()
+            .with_stage(&mut tally)
+            .replay_functional(source(), None)
+            .unwrap();
+        assert!(report.deterministic, "{:?}", report.divergence);
+        assert_eq!(report.stats.digest, recording.stats.digest);
+        assert_eq!(report.stats.total_commits, recording.stats.total_commits);
+        assert_eq!((tally.begins, tally.ends), (1, 1));
+        assert_eq!(tally.commits, recording.stats.total_commits);
+
+        let half = recording.stats.total_commits / 2;
+        let bounded = m.session().replay_functional(source(), Some(half)).unwrap();
+        let mut ins = ReplayInspector::new(&recording);
+        for _ in 0..half {
+            ins.step().unwrap().unwrap();
+        }
+        assert!(bounded.deterministic);
+        assert_eq!(bounded.stats.total_commits, half);
+        assert_eq!(bounded.stats.digest, ins.digest());
+
+        let (shim, spec) = m.replay_parallel(source()).unwrap();
+        assert_eq!(shim.stats.digest, report.stats.digest);
+        assert_eq!(spec.serial_retires, recording.stats.total_commits);
+        assert_eq!(spec.speculative_retires + spec.rounds + spec.conflicts, 0);
+
+        let other = machine(Mode::PicoLog);
+        assert!(matches!(
+            other.replay_functional(source()),
+            Err(ReplayError::ModeMismatch { .. })
+        ));
     }
 
     #[test]

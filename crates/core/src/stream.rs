@@ -1332,7 +1332,7 @@ pub trait LogSource {
     /// Stream metadata, when the source carries it.
     fn meta(&self) -> Option<&StreamMeta>;
     /// Stream metadata for the one run that restores the interval start
-    /// state (an engine, inspector or parallel executor). A source may
+    /// state (the timing engine or the inspector). A source may
     /// move its start image out rather than copy it, so a seek builds
     /// its image once; [`meta`](Self::meta) then reports no interval
     /// until the source is repositioned.
